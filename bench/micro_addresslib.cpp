@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "addresslib/addresslib.hpp"
@@ -406,6 +407,11 @@ void write_kernels_json(const std::map<std::string, double>& rates) {
   if (f == nullptr) return;
   std::fprintf(f, "{\n");
   std::fprintf(f, "  \"isa\": \"%s\",\n", AE_KERNEL_ISA);
+  // The core count and the shared pool's lanes, so a T4 figure measured on
+  // fewer than four cores cannot pass for thread scaling.
+  std::fprintf(f, "  \"nproc\": %u,\n", std::thread::hardware_concurrency());
+  std::fprintf(f, "  \"shared_pool_threads\": %d,\n",
+               par::ThreadPool::shared().thread_count());
   std::fprintf(f, "  \"frame\": \"CIF 352x288\",\n");
   std::fprintf(f, "  \"workloads\": [");
   bool first = true;

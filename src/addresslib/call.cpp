@@ -23,6 +23,7 @@ void CallStats::merge(const CallStats& o) {
   stores += o.stores;
   table_reads += o.table_reads;
   table_writes += o.table_writes;
+  criterion_tests += o.criterion_tests;
   profile.merge(o.profile);
   model_seconds += o.model_seconds;
   cycles += o.cycles;

@@ -102,6 +102,11 @@ struct CallStats {
   u64 table_reads = 0;
   u64 table_writes = 0;
 
+  /// Segment mode: neighbor admission tests the traversal performed (zero
+  /// for streamed calls).  Exact, so platform models can price a segment
+  /// call without falling back to the connectivity bound.
+  i64 criterion_tests = 0;
+
   InstructionProfile profile;  ///< software backend only
 
   /// Modeled wall-clock of the call on the backend's platform

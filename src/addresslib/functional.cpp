@@ -70,6 +70,7 @@ CallResult execute_functional(const Call& call, const img::Image& a,
       result.stats.passthrough_pixels = a.pixel_count();
       result.stats.table_reads = table.reads();
       result.stats.table_writes = table.writes();
+      result.stats.criterion_tests = traversal.criterion_tests;
       info.processed_pixels = traversal.processed_pixels;
       info.criterion_tests = traversal.criterion_tests;
       break;

@@ -285,6 +285,7 @@ CallResult KernelBackend::execute_segment(const Call& call,
   result.stats.passthrough_pixels = a.pixel_count();
   result.stats.table_reads = table.reads();
   result.stats.table_writes = table.writes();
+  result.stats.criterion_tests = traversal.criterion_tests;
   info.processed_pixels = traversal.processed_pixels;
   info.criterion_tests = traversal.criterion_tests;
   return result;

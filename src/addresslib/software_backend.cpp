@@ -1,7 +1,6 @@
 #include "addresslib/software_backend.hpp"
 
 #include "addresslib/access_model.hpp"
-#include "addresslib/functional.hpp"
 
 namespace ae::alib {
 
@@ -24,9 +23,7 @@ std::string SoftwareBackend::name() const {
 CallResult SoftwareBackend::execute(const Call& call, const img::Image& a,
                                     const img::Image* b) {
   SegmentRunInfo seg;
-  CallResult result = options_.use_kernels
-                          ? kernels_.execute(call, a, b, seg)
-                          : execute_functional(call, a, b, seg);
+  CallResult result = kernels_.execute(call, a, b, seg);
   CallStats& stats = result.stats;
   const auto pixels = static_cast<u64>(stats.pixels);
 

@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "addresslib/functional.hpp"
-
 namespace ae::core {
 
 std::string to_string(EngineMode m) {
@@ -28,7 +26,7 @@ alib::CallResult EngineBackend::execute(const alib::Call& call,
     return simulate_call(config_, call, a, b, &last_run_, trace_);
   }
   alib::SegmentRunInfo seg;
-  alib::CallResult result = alib::execute_functional(call, a, b, seg);
+  alib::CallResult result = kernels_.execute(call, a, b, seg);
   validate_frame(config_, a.size());
   last_run_ = analytic_run_stats(config_, call, a.size(),
                                  seg.processed_pixels, seg.criterion_tests);

@@ -5,11 +5,13 @@
 //    used by the memory/architecture experiments and the test suite),
 //  * Analytic — functional execution plus the closed-form timing model
 //    (validated against the simulator; used by call-heavy experiments such
-//    as the Table 3 GME runs).
+//    as the Table 3 GME runs).  Pixels come from alib::KernelBackend; the
+//    timing model reads only the call and its traversal counts.
 // Both produce bit-identical pixel output.
 #pragma once
 
 #include "addresslib/call.hpp"
+#include "addresslib/kernels/kernel_backend.hpp"
 #include "core/analytic.hpp"
 #include "core/config.hpp"
 #include "core/engine_sim.hpp"
@@ -45,6 +47,7 @@ class EngineBackend : public alib::Backend {
   EngineMode mode_;
   EngineRunStats last_run_;
   EngineTrace* trace_ = nullptr;
+  alib::KernelBackend kernels_;
 };
 
 }  // namespace ae::core

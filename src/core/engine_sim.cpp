@@ -363,6 +363,7 @@ alib::CallResult simulate_segment(const EngineConfig& config,
   fill_stats(config, run, result.stats);
   result.stats.table_reads = table.reads();
   result.stats.table_writes = table.writes();
+  result.stats.criterion_tests = traversal.criterion_tests;
   if (trace != nullptr) {
     trace->record(run.cycles - out_cycles -
                       out_strips * config.interrupt_overhead_cycles,

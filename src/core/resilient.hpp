@@ -45,8 +45,8 @@ struct ResilientOptions {
   /// Calls served by software before a half-open hardware probe.
   int breaker_cooldown_calls = 8;
   SessionOptions session;      ///< passed through to the EngineSession
-  /// Host-execution knobs of the software fallback (kernel backend on by
-  /// default; results are bit-exact either way).
+  /// Host-execution knobs of the software fallback (pool/grain of its
+  /// kernel backend; results are bit-exact for any setting).
   alib::SoftwareOptions software;
 };
 

@@ -1,8 +1,8 @@
 #include "core/session.hpp"
 
 #include <algorithm>
+#include <bit>
 
-#include "addresslib/functional.hpp"
 #include "analysis/verifier.hpp"
 #include "core/engine_sim.hpp"
 #include "core/fault.hpp"
@@ -162,18 +162,44 @@ void EngineSession::touch(std::size_t slot, bool transient) {
 }
 
 u64 frame_content_hash(const img::Image& image) {
-  // FNV-1a over the pixel words plus the dimensions.
-  u64 h = 0xCBF29CE484222325ull;
-  auto mix = [&h](u64 v) {
-    h ^= v;
-    h *= 0x100000001B3ull;
+  // Four independent multiply-rotate lanes, one 64-bit word per pixel:
+  // consecutive pixels feed different lanes, so four multiply chains run
+  // side by side where FNV-1a had one chain with two multiplies per pixel.
+  // The word is built from the ZBT words, never the raw bytes — Pixel has
+  // a padding byte.
+  constexpr u64 kMul = 0x9E3779B97F4A7C15ull;
+  constexpr u64 kIn = 0xC2B2AE3D27D4EB4Full;
+  const auto round = [](u64 lane, u64 word) {
+    return std::rotl(lane + word * kIn, 31) * kMul;
   };
-  mix(static_cast<u64>(image.width()));
-  mix(static_cast<u64>(image.height()));
-  for (const img::Pixel& p : image.pixels()) {
-    mix(p.lower_word());
-    mix(p.upper_word());
+  const auto word = [](const img::Pixel& p) {
+    return static_cast<u64>(p.lower_word()) |
+           (static_cast<u64>(p.upper_word()) << 32);
+  };
+  const std::vector<img::Pixel>& pixels = image.pixels();
+  const std::size_t n = pixels.size();
+  u64 lane[4] = {0x60EA27EEADC0B5D6ull, 0xC2B2AE3D27D4EB4Full,
+                 0x0000000000000000ull, 0x61C8864E7A143579ull};
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    lane[0] = round(lane[0], word(pixels[i]));
+    lane[1] = round(lane[1], word(pixels[i + 1]));
+    lane[2] = round(lane[2], word(pixels[i + 2]));
+    lane[3] = round(lane[3], word(pixels[i + 3]));
   }
+  for (std::size_t l = 0; i < n; ++i, ++l)
+    lane[l] = round(lane[l], word(pixels[i]));
+  u64 h = std::rotl(lane[0], 1) + std::rotl(lane[1], 7) +
+          std::rotl(lane[2], 12) + std::rotl(lane[3], 18);
+  // The dimensions, so a transposed frame with the same pixel words keys
+  // differently; then a full avalanche of the folded state.
+  h = round(h, static_cast<u64>(static_cast<u32>(image.width())) |
+                   (static_cast<u64>(static_cast<u32>(image.height())) << 32));
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ull;
+  h ^= h >> 33;
   return h == 0 ? 1 : h;  // 0 means "empty slot"
 }
 
@@ -205,7 +231,7 @@ alib::CallResult EngineSession::execute(const alib::Call& call,
   if (fault_ != nullptr && fault_->enabled())
     return execute_simulated(call, a, b);
   alib::SegmentRunInfo seg;
-  alib::CallResult result = alib::execute_functional(call, a, b, seg);
+  alib::CallResult result = kernels_.execute(call, a, b, seg);
   ++stats_.calls;
 
   const int images = call.mode == alib::Mode::Inter ? 2 : 1;

@@ -16,14 +16,17 @@
 //     side port (Sad, Histogram, GmeAccum, GmeAccumAffine) skip the result
 //     readback.
 // Functional results are produced exactly as always; only the timing model
-// changes.  The `session_optimization` bench quantifies the effect on the
-// Table 3 workload.
+// changes.  On the analytic path the pixels come from alib::KernelBackend
+// (bit-exact with the interpreter, including the segment traversal counts
+// the timing model prices).  The `session_optimization` bench quantifies
+// the effect on the Table 3 workload.
 #pragma once
 
 #include <array>
 #include <vector>
 
 #include "addresslib/call.hpp"
+#include "addresslib/kernels/kernel_backend.hpp"
 #include "core/analytic.hpp"
 #include "core/config.hpp"
 
@@ -41,10 +44,13 @@ struct SessionOptions {
   bool validate_before_execute = false;
 };
 
-/// Content hash of a frame as the residency tables key it (FNV-1a over the
-/// pixel words plus the dimensions; never 0, which means "empty slot").
-/// Exposed so schedulers above the session (serve::EngineFarm) can route by
-/// residency affinity without re-deriving the hashing scheme.
+/// Content hash of a frame as the residency tables key it.  Each pixel is
+/// one 64-bit word, `lower_word() | upper_word() << 32` (never the raw
+/// bytes: Pixel has a padding byte), fed round-robin into four independent
+/// multiply-rotate lanes; the lanes fold together with the dimensions and
+/// a final avalanche.  Never 0, which means "empty slot".  Exposed so
+/// schedulers above the session (serve::EngineFarm) can route by residency
+/// affinity without re-deriving the hashing scheme.
 u64 frame_content_hash(const img::Image& image);
 
 /// Phase split of one executed call, in engine cycles — the non-blocking
@@ -193,6 +199,7 @@ class EngineSession : public alib::Backend {
   std::vector<u64> pinned_;
   FaultInjector* fault_ = nullptr;
   EngineTrace* trace_ = nullptr;
+  alib::KernelBackend kernels_;
 };
 
 }  // namespace ae::core

@@ -47,18 +47,11 @@ class DualPlatformBackend : public alib::Backend {
     software_seconds_ += result.stats.model_seconds;
     software_stats_.merge(result.stats);
 
-    i64 seg_pixels = -1;
-    i64 seg_tests = 0;
-    if (call.mode == alib::Mode::Segment) {
-      seg_pixels = result.stats.pixels;
-      // Tests are not in CallStats; approximate with the connectivity bound.
-      seg_tests = seg_pixels *
-                  static_cast<i64>(
-                      alib::connectivity_offsets(call.segment.connectivity)
-                          .size());
-    }
+    // Segment calls are priced from the exact traversal counts (the model
+    // reads them for segment mode only), like EngineBackend's analytic mode.
     const core::EngineRunStats run = core::analytic_run_stats(
-        engine_config_, call, a.size(), seg_pixels, seg_tests);
+        engine_config_, call, a.size(), result.stats.pixels,
+        result.stats.criterion_tests);
     engine_cycles_ += run.cycles;
 
     if (call.mode == alib::Mode::Inter) {

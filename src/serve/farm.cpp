@@ -276,13 +276,6 @@ std::future<alib::CallResult> EngineFarm::submit_request(
   request.b = b;
   request.forced_shard = forced_shard;
   request.pin_hashes = std::move(pin_hashes);
-  if (options_.affinity_routing || options_.cost_aware_routing ||
-      options_.elastic_state_tracking) {
-    // Elastic tracking needs the hashes too: the worker keys its host-side
-    // resident-frame copies by the same content hash.
-    request.hash_a = core::frame_content_hash(a);
-    request.hash_b = b != nullptr ? core::frame_content_hash(*b) : 0;
-  }
   if (options_.cost_aware_routing) {
     request.transfer_cost_a = frame_transfer_cycles(options_.config, a.size());
     request.transfer_cost_b =
@@ -303,6 +296,30 @@ std::future<alib::CallResult> EngineFarm::submit_request(
                              static_cast<i64>(pending_.size()));
   sched_cv_.notify_one();
   return future;
+}
+
+void EngineFarm::assign_frame_keys(std::vector<Request>& batch) const {
+  // Elastic tracking needs the keys too: the worker keys its host-side
+  // resident-frame copies by the same content hash.
+  if (!options_.affinity_routing && !options_.cost_aware_routing &&
+      !options_.elastic_state_tracking)
+    return;
+  // One hash per distinct frame object.  Keying by pointer is sound: every
+  // request in the batch is still pending, so by the lifetime contract its
+  // frames are alive and unmodified.  Hashed on this thread: the shard
+  // workers' kernel bands already keep the shared pool busy, and handing
+  // it these frames too measured slower.
+  std::unordered_map<const img::Image*, u64> keys;
+  const auto key = [&](const img::Image* frame) -> u64 {
+    if (frame == nullptr) return 0;
+    const auto [it, fresh] = keys.try_emplace(frame, 0);
+    if (fresh) it->second = core::frame_content_hash(*frame);
+    return it->second;
+  };
+  for (Request& request : batch) {
+    request.hash_a = key(request.a);
+    request.hash_b = key(request.b);
+  }
 }
 
 int EngineFarm::route(const Request& request, bool& affinity_hit) {
@@ -459,6 +476,7 @@ void EngineFarm::scheduler_loop() {
       }
       space_cv_.notify_all();
     }
+    assign_frame_keys(batch);
     for (Request& request : batch) {
       bool hit = false;
       const int shard = route(request, hit);

@@ -12,7 +12,9 @@
 //   * affinity routing — a call lands on the shard where its input frames
 //     are already resident (keyed by `core::frame_content_hash`), so the
 //     per-session residency cache keeps saving re-DMA even with many
-//     clients interleaving frames,
+//     clients interleaving frames.  The scheduler computes the keys once
+//     per distinct frame per batch, just before routing; submit() does not
+//     hash, so a client's submit loop never pays for content keys,
 //   * load spill — when the affinity shard's backlog is too deep (or its
 //     circuit breaker is open), the call spills to the least-loaded healthy
 //     shard instead of convoying,
@@ -227,9 +229,12 @@ class EngineFarm : public alib::Backend {
                            const img::Image* b = nullptr) override;
 
   /// Asynchronous submission.  Blocks only while the submission queue is at
-  /// capacity.  The future carries the bit-exact result; its modeled cycle
-  /// count is the call's own latency net of pipelining overlap (queue wait
-  /// shows up in the shard clocks / makespan, not per call).
+  /// capacity.  Does not read the pixels (unless validation or admission
+  /// control is on): the scheduler computes the affinity keys later, once
+  /// per distinct frame of the batch the call is routed in.  The future
+  /// carries the bit-exact result; its modeled cycle count is the call's
+  /// own latency net of pipelining overlap (queue wait shows up in the
+  /// shard clocks / makespan, not per call).
   std::future<alib::CallResult> submit(const alib::Call& call,
                                        const img::Image& a,
                                        const img::Image* b = nullptr);
@@ -322,7 +327,10 @@ class EngineFarm : public alib::Backend {
     alib::Call call;
     const img::Image* a = nullptr;
     const img::Image* b = nullptr;
-    u64 hash_a = 0;  ///< affinity keys (0 when affinity routing is off)
+    /// Frame content keys (core::frame_content_hash), set by the scheduler
+    /// just before routing; 0 until then, and when neither routing nor
+    /// elastic tracking needs them.
+    u64 hash_a = 0;
     u64 hash_b = 0;
     /// Static per-frame transfer-cycle estimates (cost-aware routing only):
     /// the cycles a shard NOT holding the frame pays to stream it in.
@@ -378,8 +386,11 @@ class EngineFarm : public alib::Backend {
 
   void scheduler_loop();
   void worker_loop(Shard& shard);
-  /// The submission path behind submit(): validation, admission, hashing,
-  /// then enqueue.  `forced_shard`/`pin_hashes` carry the plan-directed
+  /// Computes hash_a/hash_b for a dequeued batch, hashing each distinct
+  /// frame object once.
+  void assign_frame_keys(std::vector<Request>& batch) const;
+  /// The submission path behind submit(): validation, admission, then
+  /// enqueue.  `forced_shard`/`pin_hashes` carry the plan-directed
   /// extras (-1 / empty for ordinary traffic).
   std::future<alib::CallResult> submit_request(const alib::Call& call,
                                                const img::Image& a,

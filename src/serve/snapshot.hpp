@@ -35,7 +35,9 @@
 namespace ae::serve {
 
 inline constexpr u32 kSnapshotMagic = 0x4145534Eu;  // "AESN"
-inline constexpr u32 kSnapshotVersion = 1;
+/// Version 2: residency keys are the four-lane frame_content_hash (version
+/// 1 blobs carry FNV-1a keys, which no longer name the same frames).
+inline constexpr u32 kSnapshotVersion = 2;
 
 /// Base of the snapshot error taxonomy.
 class SnapshotError : public Error {

@@ -135,14 +135,20 @@ TEST(SnapshotFormatTest, TruncationAndBadFramingAreRejected) {
 
 TEST(SnapshotFormatTest, VersionMismatchIsItsOwnError) {
   Rng rng(0x51ACu);
-  std::vector<u8> blob = serve::serialize_snapshot(sample_snapshot(rng));
-  blob[4] = static_cast<u8>(serve::kSnapshotVersion + 1);
-  try {
-    serve::parse_snapshot(blob);
-    FAIL() << "future-versioned blob was accepted";
-  } catch (const serve::SnapshotVersionMismatch& e) {
-    EXPECT_EQ(e.found(), serve::kSnapshotVersion + 1);
-    EXPECT_EQ(e.expected(), serve::kSnapshotVersion);
+  const std::vector<u8> blob =
+      serve::serialize_snapshot(sample_snapshot(rng));
+  // A future revision, and version 1, whose residency keys came from the
+  // retired FNV-1a frame hash.
+  for (const u32 version : {serve::kSnapshotVersion + 1, 1u}) {
+    std::vector<u8> other = blob;
+    other[4] = static_cast<u8>(version);
+    try {
+      serve::parse_snapshot(other);
+      FAIL() << "version " << version << " blob was accepted";
+    } catch (const serve::SnapshotVersionMismatch& e) {
+      EXPECT_EQ(e.found(), version);
+      EXPECT_EQ(e.expected(), serve::kSnapshotVersion);
+    }
   }
 }
 

@@ -110,6 +110,41 @@ TEST(FarmTest, AffinityRoutingReusesResidentFrames) {
   EXPECT_GT(stats.affinity_hits, 0);
 }
 
+TEST(FarmTest, SequentialCallsOnOneFrameStayOnTheKeyedShard) {
+  // The scheduler keys each batch after it leaves the queue; sequential
+  // calls make every batch one request, so the keying has to carry the
+  // affinity on its own: the first call lands by load, every later one
+  // follows the frame.  Elastic tracking keys the shard's frame copies by
+  // the same hash, so the serving shard's snapshot must hold the frame.
+  constexpr int kCalls = 6;
+  FarmOptions options;
+  options.shards = 2;
+  EngineFarm farm(options);
+  alib::SoftwareBackend sw;
+  const img::Image x = test::small_frame(31);
+  const Call call = Call::make_intra(PixelOp::GradientMag,
+                                     alib::Neighborhood::con8());
+  for (int i = 0; i < kCalls; ++i)
+    test::expect_results_equal(sw.execute(call, x), farm.execute(call, x));
+
+  const FarmStats stats = farm.stats();
+  EXPECT_EQ(stats.affinity_hits, kCalls - 1);
+  int serving = -1;
+  for (int s = 0; s < farm.shard_count(); ++s)
+    if (stats.shards[static_cast<std::size_t>(s)].calls == kCalls) serving = s;
+  ASSERT_GE(serving, 0) << "the calls were split across shards";
+  const serve::ShardSnapshot snapshot =
+      serve::parse_snapshot(farm.snapshot_shard(serving));
+  const u64 key = core::frame_content_hash(x);
+  bool held = false;
+  for (const serve::ResidentFrame& frame : snapshot.frames)
+    if (frame.hash == key) {
+      held = true;
+      test::expect_images_equal(x, frame.content);
+    }
+  EXPECT_TRUE(held) << "the serving shard's snapshot lost the frame";
+}
+
 TEST(FarmTest, StripPipeliningSavesModeledCycles) {
   FarmOptions options;
   options.shards = 1;  // force back-to-back execution on one engine

@@ -204,6 +204,30 @@ TEST(DualPlatform, CountsCallsByMode) {
   EXPECT_GT(be.engine_platform_seconds(), 0.0);
 }
 
+TEST(DualPlatform, SegmentCallsArePricedFromTheExactTraversal) {
+  // The board price of a segment call depends on the criterion tests the
+  // traversal performed; the dual-platform account must read the exact
+  // count, not the connectivity bound, so it agrees with the engine's own
+  // analytic mode to the cycle.
+  const img::Image a = img::make_test_frame(Size{48, 32}, 3);
+  alib::SegmentSpec spec;
+  spec.seeds = {{5, 5}, {30, 20}};
+  spec.luma_threshold = 24;
+  spec.connectivity = alib::Connectivity::Eight;
+  const alib::Call call = alib::Call::make_segment(
+      alib::PixelOp::Copy, alib::Neighborhood::con0(), spec,
+      ChannelMask::y(), ChannelMask::y().with(Channel::Alfa));
+  DualPlatformBackend dual;
+  core::EngineBackend engine({}, core::EngineMode::Analytic);
+  const alib::CallResult d = dual.execute(call, a);
+  const alib::CallResult e = engine.execute(call, a);
+  ASSERT_EQ(dual.segment_calls(), 1);
+  EXPECT_EQ(d.stats.criterion_tests, e.stats.criterion_tests);
+  // The bound is loose on this frame, so the old estimate would differ.
+  EXPECT_LT(e.stats.criterion_tests, e.stats.pixels * 8);
+  EXPECT_EQ(dual.engine_board_seconds(), e.stats.model_seconds);
+}
+
 TEST(DualPlatform, HighLevelPricedOnBothCpus) {
   DualPlatformBackend be;
   const double sw0 = be.software_platform_seconds();

@@ -2,8 +2,13 @@
 // readback elision, and the invariant that only timing changes.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+
+#include "addresslib/functional.hpp"
 #include "core/engine.hpp"
 #include "core/session.hpp"
+#include "image/synth.hpp"
 #include "test_util.hpp"
 
 namespace ae::core {
@@ -126,6 +131,94 @@ TEST(Session, GmeIterationTrafficShrinks) {
 
 TEST(Session, NameSaysSession) {
   EXPECT_NE(EngineSession().name().find("session"), std::string::npos);
+}
+
+TEST(Session, CorpusCyclesMatchTheInterpreterTraversal) {
+  // Both engine paths compute pixels with the kernel backend; the price
+  // must still be exactly the analytic model over the interpreter's
+  // traversal counts — streamed, segment, and the unlowered Gme* calls.
+  // Residency and readback elision are off so a session call costs what a
+  // plain analytic call costs.
+  SessionOptions options;
+  options.reuse_resident_frames = false;
+  options.skip_side_only_readback = false;
+  EngineSession session({}, options);
+  EngineBackend analytic({}, EngineMode::Analytic);
+  const EngineConfig config;
+  Rng rng(0xC0B5u);
+  int segment_calls = 0;
+  for (int i = 0; i < 160; ++i) {
+    const Size size = test::random_frame_size(rng);
+    bool needs_b = false;
+    alib::Call call = test::random_any_call(rng, size, needs_b);
+    if (i % 8 == 0) {
+      alib::OpParams p;
+      p.threshold = rng.uniform(0, 96);
+      call = alib::Call::make_inter(i % 16 == 0
+                                        ? alib::PixelOp::GmeAccum
+                                        : alib::PixelOp::GmeAccumAffine,
+                                    ChannelMask::y(), ChannelMask::y(), p);
+      needs_b = true;
+    }
+    SCOPED_TRACE("call " + std::to_string(i));
+    const img::Image a = img::make_test_frame(size, 2 * static_cast<u64>(i));
+    const img::Image b =
+        img::make_test_frame(size, 2 * static_cast<u64>(i) + 1);
+    const img::Image* pb = needs_b ? &b : nullptr;
+
+    alib::SegmentRunInfo seg;
+    const alib::CallResult ref = alib::execute_functional(call, a, pb, seg);
+    const u64 expected = analytic_run_stats(config, call, size,
+                                            seg.processed_pixels,
+                                            seg.criterion_tests)
+                             .cycles;
+    const alib::CallResult s = session.execute(call, a, pb);
+    const alib::CallResult e = analytic.execute(call, a, pb);
+    EXPECT_EQ(s.stats.cycles, expected);
+    EXPECT_EQ(e.stats.cycles, expected);
+    test::expect_results_equal(ref, s);
+    test::expect_results_equal(ref, e);
+    if (call.mode == alib::Mode::Segment) ++segment_calls;
+  }
+  EXPECT_GT(segment_calls, 10);
+}
+
+TEST(FrameContentHash, PaddingByteDoesNotChangeTheKey) {
+  const img::Image a = img::make_test_frame(Size{37, 23}, 5);
+  img::Image b = a;
+  // Pixel is y, u, v, then one padding byte before the 16-bit channels.
+  static_assert(offsetof(img::Pixel, alfa) == 4);
+  for (img::Pixel& p : b.pixels())
+    reinterpret_cast<unsigned char*>(&p)[3] = 0xA5;
+  EXPECT_EQ(frame_content_hash(a), frame_content_hash(b));
+}
+
+TEST(FrameContentHash, TransposedSizeWithTheSamePixelWordsDiffers) {
+  const img::Image a = img::make_test_frame(Size{6, 4}, 9);
+  img::Image t(Size{4, 6});
+  t.pixels() = a.pixels();
+  EXPECT_NE(frame_content_hash(a), frame_content_hash(t));
+  // Content still matters at equal size: one changed word changes the key.
+  img::Image c = a;
+  c.pixels().back().aux ^= 1;
+  EXPECT_NE(frame_content_hash(a), frame_content_hash(c));
+}
+
+TEST(FrameContentHash, KeyIsNeverZero) {
+  // 0 marks an empty residency slot.  Degenerate and constant frames of
+  // every pixel count up to one full lane round and past it.
+  EXPECT_NE(frame_content_hash(img::Image()), 0u);
+  for (i32 w = 1; w <= 9; ++w)
+    for (const u8 v : {u8{0}, u8{255}}) {
+      img::Pixel px;
+      px.y = v;
+      px.u = v;
+      px.v = v;
+      EXPECT_NE(frame_content_hash(img::Image(Size{w, 1}, px)), 0u);
+    }
+  for (u64 seed = 0; seed < 64; ++seed)
+    EXPECT_NE(frame_content_hash(img::make_test_frame(Size{16, 16}, seed)),
+              0u);
 }
 
 }  // namespace
