@@ -48,6 +48,21 @@ const img::Image& cif_b() {
   return b;
 }
 
+// cif_b() with its Sobel gradients packed into Alfa/Aux (a GradientPack
+// call), the frame B a GmeAccum call reads in the GME estimator.
+const img::Image& cif_b_gradients() {
+  static const img::Image g =
+      alib::execute_functional(
+          alib::Call::make_intra(
+              alib::PixelOp::GradientPack, alib::Neighborhood::con8(),
+              ChannelMask::y(),
+              ChannelMask{static_cast<u8>(ChannelMask::alfa().bits() |
+                                          ChannelMask::aux().bits())}),
+          cif_b())
+          .output;
+  return g;
+}
+
 // CIF frame built for a bounded flood: a bright disk (radius 60, ~11% of
 // the frame) on a dark background.  A seed inside the disk with a small
 // luma threshold expands to exactly the disk — the sparse-mask case the
@@ -176,6 +191,8 @@ struct KernWorkload {
   /// speedup_t1 measured before the PR 8 fast paths (PR 3 fused kernels),
   /// recorded in the JSON as the honest before/after pair.
   double speedup_t1_before = 0.0;
+  /// Second input of an inter call; cif_b() when null.
+  const img::Image& (*frame_b)() = nullptr;
 };
 
 std::vector<KernWorkload>& kern_workloads() {
@@ -191,6 +208,17 @@ std::vector<KernWorkload>& kern_workloads() {
                  Call::make_inter(PixelOp::Sad, ChannelMask::yuv(),
                                   ChannelMask::yuv()),
                  true, nullptr, 1.49});
+    {
+      // The GME estimator's accumulation call at its first-pass cutoff.
+      // Before its row kernel existed the backend fell back to the
+      // interpreter: the "before" speedup is fallback parity, 1.00.
+      OpParams p;
+      p.threshold = 64;
+      v.push_back({"InterGmeAccum",
+                   Call::make_inter(PixelOp::GmeAccum, ChannelMask::y(),
+                                    ChannelMask::y(), p),
+                   true, nullptr, 1.00, &cif_b_gradients});
+    }
     {
       OpParams p;
       p.coeffs.assign(9, 1);
@@ -243,9 +271,14 @@ const img::Image& workload_frame(const KernWorkload& w) {
   return w.frame != nullptr ? w.frame() : cif_a();
 }
 
+const img::Image* workload_frame_b(const KernWorkload& w) {
+  if (!w.needs_b) return nullptr;
+  return w.frame_b != nullptr ? &w.frame_b() : &cif_b();
+}
+
 void run_kern_interp(benchmark::State& state, const KernWorkload& w) {
   const img::Image& a = workload_frame(w);
-  const img::Image* b = w.needs_b ? &cif_b() : nullptr;
+  const img::Image* b = workload_frame_b(w);
   for (auto _ : state) {
     benchmark::DoNotOptimize(alib::execute_functional(w.call, a, b));
   }
@@ -257,7 +290,7 @@ void run_kern_kernel(benchmark::State& state, const KernWorkload& w,
   par::ThreadPool pool(threads);
   alib::KernelBackend backend({&pool, 16});
   const img::Image& a = workload_frame(w);
-  const img::Image* b = w.needs_b ? &cif_b() : nullptr;
+  const img::Image* b = workload_frame_b(w);
   for (auto _ : state) {
     benchmark::DoNotOptimize(backend.execute(w.call, a, b));
   }

@@ -3,6 +3,7 @@
 // the same inline function the interpreter executes — called with a
 // constant op so the switch disappears and the loop body is the bare
 // per-channel expression, which the compiler can auto-vectorize.
+#include <array>
 #include <cstring>
 
 #include "addresslib/kernels/row_kernels.hpp"
@@ -121,6 +122,25 @@ void inter_row(const InterRowArgs& args) {
   }
 }
 
+/// GmeAccum: the pixel arithmetic is detail::gme_accum_pixel, the
+/// interpreter's own; the row accumulates into locals and folds them into
+/// the band's side sums once.  The sums are integer, so the fold order is
+/// invisible.  The op writes Y whatever the output mask, as apply_inter does.
+void gme_accum_row(const InterRowArgs& args) {
+  std::memcpy(args.out, args.a,
+              sizeof(img::Pixel) * static_cast<std::size_t>(args.n));
+  const img::Pixel* a = args.a;
+  const img::Pixel* b = args.b;
+  img::Pixel* out = args.out;
+  std::array<i64, 6> gme{};
+  u64 sad = 0;
+  for (i32 i = 0; i < args.n; ++i)
+    out[i].y = img::clamp_u8(static_cast<i32>(
+        detail::gme_accum_pixel(*args.params, a[i], b[i], gme, sad)));
+  for (std::size_t k = 0; k < gme.size(); ++k) args.side->gme[k] += gme[k];
+  args.side->sad += sad;
+}
+
 }  // namespace
 
 InterRowFn lower_inter_row(PixelOp op) {
@@ -138,9 +158,11 @@ InterRowFn lower_inter_row(PixelOp op) {
     case PixelOp::BitAnd: return &inter_row<PixelOp::BitAnd>;
     case PixelOp::BitOr: return &inter_row<PixelOp::BitOr>;
     case PixelOp::BitXor: return &inter_row<PixelOp::BitXor>;
+    case PixelOp::GmeAccum: return &gme_accum_row;
     default:
-      // The Gme* accumulators carry position-dependent normal-equation
-      // state; they stay on the generic interpreter path.
+      // GmeAccumAffine reads the pixel position, which the row arguments
+      // do not carry, and GmePerspective sums doubles, whose result depends
+      // on the order of additions; both stay on the interpreter path.
       return nullptr;
   }
 }

@@ -26,7 +26,8 @@
 // written exactly once, and side accumulators are commutative sums.  The
 // traversal is inherently sequential, so it does not band across the pool;
 // the win is sparsity and batching, not threads.  Calls with no lowering
-// (the Gme* accumulators) transparently fall back to the interpreter.
+// (GmeAccumAffine and GmePerspective) transparently fall back to the
+// interpreter.
 #pragma once
 
 #include "addresslib/functional.hpp"

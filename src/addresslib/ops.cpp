@@ -145,20 +145,8 @@ img::Pixel apply_inter(PixelOp op, const OpParams& params, img::Pixel a,
     return result;
   }
   if (op == PixelOp::GmeAccum) {
-    const i64 r = static_cast<i64>(a.y) - b.y;
-    const i64 abs_r = r < 0 ? -r : r;
-    if (abs_r <= params.threshold) {  // robust cutoff: outliers don't vote
-      const i64 gx = static_cast<i64>(b.alfa) - kGradBias;
-      const i64 gy = static_cast<i64>(b.aux) - kGradBias;
-      side.gme[0] += gx * gx;
-      side.gme[1] += gx * gy;
-      side.gme[2] += gy * gy;
-      side.gme[3] += gx * r;
-      side.gme[4] += gy * r;
-      side.gme[5] += 1;
-    }
-    side.sad += static_cast<u64>(abs_r);
-    result.y = img::clamp_u8(static_cast<i32>(abs_r));
+    result.y = img::clamp_u8(static_cast<i32>(
+        detail::gme_accum_pixel(params, a, b, side.gme, side.sad)));
     return result;
   }
   for (int ci = 0; ci < kChannelCount; ++ci) {

@@ -215,6 +215,30 @@ inline i64 inter_channel_value(PixelOp op, const OpParams& params, Channel c,
   return 0;
 }
 
+/// GmeAccum on one pixel pair, shared by the interpreter and the GmeAccum
+/// row kernel like inter_channel_value: the residual r = a.y - b.y votes
+/// into `gme` (gxx, gxy, gyy, gxr, gyr, inliers; gradients unpacked from
+/// b's GradientPack planes) when |r| is within the robust cutoff, |r| is
+/// added to `sad`, and |r| is returned (the value stored to Y).  Every sum
+/// is integer, so per-row and per-band partial sums merge bit-exactly.
+inline i64 gme_accum_pixel(const OpParams& params, img::Pixel a, img::Pixel b,
+                           std::array<i64, 6>& gme, u64& sad) {
+  const i64 r = static_cast<i64>(a.y) - b.y;
+  const i64 abs_r = r < 0 ? -r : r;
+  if (abs_r <= params.threshold) {  // robust cutoff: outliers don't vote
+    const i64 gx = static_cast<i64>(b.alfa) - kGradBias;
+    const i64 gy = static_cast<i64>(b.aux) - kGradBias;
+    gme[0] += gx * gx;
+    gme[1] += gx * gy;
+    gme[2] += gy * gy;
+    gme[3] += gx * r;
+    gme[4] += gy * r;
+    gme[5] += 1;
+  }
+  sad += static_cast<u64>(abs_r);
+  return abs_r;
+}
+
 }  // namespace detail
 
 /// Applies an inter op at image position `pos` (stage 1's scan counters;

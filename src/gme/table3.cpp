@@ -25,9 +25,8 @@ SequenceExperiment run_sequence_experiment(
   std::vector<Translation> placements{Translation{}};
   double error_sum = 0.0;
 
-  img::Image prev_frame = sequence.frame(0);
   Pyramid prev_pyr =
-      build_pyramid(backend, prev_frame, options.gme.pyramid_levels);
+      build_pyramid(backend, sequence.frame(0), options.gme.pyramid_levels);
   u64 pyramid_hl = 0;
 
   for (int t = 1; t < frames; ++t) {
@@ -49,7 +48,6 @@ SequenceExperiment run_sequence_experiment(
                             -accumulated.dy - true_dy);
 
     prev_pyr = std::move(cur_pyr);
-    prev_frame = cur_frame;
   }
   backend.add_high_level(pyramid_hl);
   backend.add_high_level(estimator.high_level_instr());
@@ -60,7 +58,6 @@ SequenceExperiment run_sequence_experiment(
     const Size canvas = Mosaic::required_canvas(sequence.frame_size(),
                                                 placements, origin);
     Mosaic mosaic(canvas, origin);
-    Translation acc;
     // Re-walk the sequence pasting every frame at its placement.  The blend
     // itself is host-side work in this reproduction (priced per pixel).
     for (int t = 0; t < frames; ++t) {
@@ -68,7 +65,6 @@ SequenceExperiment run_sequence_experiment(
                        placements[static_cast<std::size_t>(t)]);
       backend.add_high_level(
           static_cast<u64>(sequence.frame_size().area()) * 15);
-      (void)acc;
     }
     exp.mosaic = mosaic.render();
     exp.mosaic_coverage = mosaic.coverage();

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "image/synth.hpp"
 
@@ -10,12 +11,17 @@ namespace ae::img {
 
 void CameraPose::to_world(double fx, double fy, double frame_w, double frame_h,
                           double& wx, double& wy) const {
+  to_world(fx, fy, frame_w, frame_h, std::cos(angle), std::sin(angle), wx,
+           wy);
+}
+
+void CameraPose::to_world(double fx, double fy, double frame_w, double frame_h,
+                          double cos_angle, double sin_angle, double& wx,
+                          double& wy) const {
   const double rx = fx - frame_w / 2.0;
   const double ry = fy - frame_h / 2.0;
-  const double c = std::cos(angle);
-  const double s = std::sin(angle);
-  wx = center_x + zoom * (c * rx - s * ry);
-  wy = center_y + zoom * (s * rx + c * ry);
+  wx = center_x + zoom * (cos_angle * rx - sin_angle * ry);
+  wy = center_y + zoom * (sin_angle * rx + cos_angle * ry);
 }
 
 SyntheticSequence::SyntheticSequence(Params params)
@@ -61,21 +67,27 @@ Image SyntheticSequence::frame(int t) const {
   Image out(fs);
   const auto fw = static_cast<double>(fs.width);
   const auto fh = static_cast<double>(fs.height);
-  for (i32 y = 0; y < fs.height; ++y) {
-    for (i32 x = 0; x < fs.width; ++x) {
-      double wx = 0.0;
-      double wy = 0.0;
-      p.to_world(static_cast<double>(x), static_cast<double>(y), fw, fh, wx,
-                 wy);
-      Pixel& px = out.ref(x, y);
-      px.y = static_cast<u8>(std::lround(world_luma(wx, wy)));
-      // Chroma from separate coarse noise fields (mosaics look plausible).
-      px.u = static_cast<u8>(std::lround(
-          96.0 + 64.0 * value_noise(wx, wy, params_.seed + 303, 2, 96.0)));
-      px.v = static_cast<u8>(std::lround(
-          96.0 + 64.0 * value_noise(wx, wy, params_.seed + 404, 2, 120.0)));
+  const double c = std::cos(p.angle);
+  const double s = std::sin(p.angle);
+  // Every pixel is a pure function of (pose, x, y), so the rows band across
+  // the shared pool without changing any value.
+  par::ThreadPool::shared().parallel_rows(fs.height, 8, [&](i32 y0, i32 y1) {
+    for (i32 y = y0; y < y1; ++y) {
+      for (i32 x = 0; x < fs.width; ++x) {
+        double wx = 0.0;
+        double wy = 0.0;
+        p.to_world(static_cast<double>(x), static_cast<double>(y), fw, fh, c,
+                   s, wx, wy);
+        Pixel& px = out.ref(x, y);
+        px.y = static_cast<u8>(std::lround(world_luma(wx, wy)));
+        // Chroma from separate coarse noise fields (mosaics look plausible).
+        px.u = static_cast<u8>(std::lround(
+            96.0 + 64.0 * value_noise(wx, wy, params_.seed + 303, 2, 96.0)));
+        px.v = static_cast<u8>(std::lround(
+            96.0 + 64.0 * value_noise(wx, wy, params_.seed + 404, 2, 120.0)));
+      }
     }
-  }
+  });
   return out;
 }
 

@@ -27,6 +27,12 @@ struct CameraPose {
   /// Maps a frame coordinate to world coordinates.
   void to_world(double fx, double fy, double frame_w, double frame_h,
                 double& wx, double& wy) const;
+
+  /// The same mapping with cos(angle) and sin(angle) supplied by the
+  /// caller, so a per-pixel loop evaluates them once per frame.
+  void to_world(double fx, double fy, double frame_w, double frame_h,
+                double cos_angle, double sin_angle, double& wx,
+                double& wy) const;
 };
 
 /// Per-frame motion increments applied to the camera pose.

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "addresslib/kernels/kernel_backend.hpp"
+#include "analysis/verifier.hpp"
 #include "common/parallel.hpp"
 #include "core/core.hpp"
 #include "serve/farm.hpp"
@@ -193,6 +194,80 @@ TEST(KernelVsFunctionalAdversarial, FloodMasksAreBitExact) {
       EXPECT_EQ(ref_info.criterion_tests, info.criterion_tests);
     });
   }
+}
+
+// GmeAccum against a real gradient frame: the representative set pairs two
+// test frames, whose Alfa/Aux planes are not gradients.  Here frame B is a
+// GradientPack output, as in the estimator, and its Y differs from frame A
+// by a bounded perturbation, so each cutoff splits the pixels into voting
+// and rejected ones.  The frame height is not a multiple of any band grain.
+alib::Call gme_accum_call(i32 threshold) {
+  alib::OpParams p;
+  p.threshold = threshold;
+  return Call::make_inter(alib::PixelOp::GmeAccum, ChannelMask::y(),
+                          ChannelMask::y(), p);
+}
+
+img::Image gradient_packed_reference(const img::Image& a) {
+  img::Image moved = a;
+  for (i32 y = 0; y < moved.height(); ++y)
+    for (i32 x = 0; x < moved.width(); ++x) {
+      img::Pixel& px = moved.ref(x, y);
+      px.y = img::clamp_u8(px.y + (x * 7 + y * 13) % 41 - 20);
+    }
+  const Call pack = Call::make_intra(
+      alib::PixelOp::GradientPack, alib::Neighborhood::con8(),
+      ChannelMask::y(),
+      ChannelMask{ChannelMask::alfa().bits() | ChannelMask::aux().bits()});
+  return alib::execute_functional(pack, moved).output;
+}
+
+TEST(KernelVsFunctionalGme, GradientPackedFrameIsBitExact) {
+  const Size size{97, 61};
+  const img::Image a = img::make_test_frame(size, 0x6A3Eu);
+  const img::Image b = gradient_packed_reference(a);
+  KernelConfigs configs;
+  for (const i32 threshold : {0, 16, 64, 255}) {
+    const Call call = gme_accum_call(threshold);
+    const alib::CallResult ref = alib::execute_functional(call, a, &b);
+    EXPECT_GT(ref.side.gme[5], 0) << "threshold " << threshold;
+    configs.for_each([&](const alib::KernelBackend& kernels,
+                         const char* config) {
+      SCOPED_TRACE(std::string("[") + config + "] threshold " +
+                   std::to_string(threshold));
+      test::expect_results_equal(ref, kernels.execute(call, a, &b));
+    });
+  }
+}
+
+TEST(KernelVsFunctionalGme, FusedStageIsBitExact) {
+  const Size size{97, 61};
+  const img::Image a = img::make_test_frame(size, 0x6A3Fu);
+  const img::Image b = gradient_packed_reference(a);
+  Call call = gme_accum_call(32);
+  alib::FusedStage stage;
+  stage.op = alib::PixelOp::Threshold;
+  stage.params.threshold = 8;
+  call.fused.push_back(stage);
+  call.fused.push_back(alib::FusedStage{alib::PixelOp::Histogram, {},
+                                        ChannelMask::y(), ChannelMask::y()});
+  EXPECT_FALSE(
+      analysis::verify_call(call, size, &size, false).has_errors());
+  const alib::CallResult ref = alib::execute_functional(call, a, &b);
+  KernelConfigs configs;
+  configs.for_each([&](const alib::KernelBackend& kernels,
+                       const char* config) {
+    SCOPED_TRACE(std::string("[") + config + "] " + call.describe());
+    test::expect_results_equal(ref, kernels.execute(call, a, &b));
+  });
+}
+
+TEST(KernelVsFunctionalGme, OnlyTheIntegerAccumulatorIsLowered) {
+  EXPECT_TRUE(alib::KernelBackend::supports(gme_accum_call(64)));
+  EXPECT_FALSE(alib::KernelBackend::supports(
+      Call::make_inter(alib::PixelOp::GmeAccumAffine)));
+  EXPECT_FALSE(alib::KernelBackend::supports(
+      Call::make_inter(alib::PixelOp::GmePerspective)));
 }
 
 // ---- engine / farm differentials (tier2) -----------------------------------

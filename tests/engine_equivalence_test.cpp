@@ -27,8 +27,14 @@ std::vector<EquivalenceCase> all_cases() {
   std::vector<EquivalenceCase> cases;
   for (const Call& c : test::representative_intra_calls())
     cases.push_back({c, false, c.describe()});
-  for (const Call& c : test::representative_inter_calls())
-    cases.push_back({c, true, c.describe()});
+  for (const Call& c : test::representative_inter_calls()) {
+    // describe() omits op parameters; the GmeAccum cases differ only in
+    // their cutoff, so it goes into the test name.
+    std::string label = c.describe();
+    if (c.op == alib::PixelOp::GmeAccum)
+      label += " thr=" + std::to_string(c.params.threshold);
+    cases.push_back({c, true, label});
+  }
   return cases;
 }
 
@@ -54,6 +60,7 @@ TEST_P(EngineEquivalence, CycleAccurateMatchesSoftware) {
   test::expect_images_equal(ref.output, out.output);
   EXPECT_EQ(ref.side.sad, out.side.sad);
   EXPECT_EQ(ref.side.histogram, out.side.histogram);
+  EXPECT_EQ(ref.side.gme, out.side.gme);
 }
 
 TEST_P(EngineEquivalence, AnalyticMatchesSoftware) {
@@ -74,6 +81,7 @@ TEST_P(EngineEquivalence, AnalyticMatchesSoftware) {
   SCOPED_TRACE(ec.label);
   test::expect_images_equal(ref.output, out.output);
   EXPECT_EQ(ref.side.sad, out.side.sad);
+  EXPECT_EQ(ref.side.gme, out.side.gme);
 }
 
 std::string case_name(

@@ -57,6 +57,52 @@ TEST(Warp, BorderReplicates) {
   EXPECT_EQ(warped.at(0, 0).y, 7);
 }
 
+// The definition the banded warp must reproduce bit for bit: bilinear Y/U/V
+// over border-clamped taps, side channels copied from the top-left tap.
+img::Image reference_warp(const img::Image& src, Translation t) {
+  img::Image out(src.size());
+  for (i32 y = 0; y < src.height(); ++y)
+    for (i32 x = 0; x < src.width(); ++x) {
+      const double sx = x + t.dx;
+      const double sy = y + t.dy;
+      const double fx = std::floor(sx);
+      const double fy = std::floor(sy);
+      const auto x0 = static_cast<i32>(fx);
+      const auto y0 = static_cast<i32>(fy);
+      const double wx = sx - fx;
+      const double wy = sy - fy;
+      const img::Pixel& p00 = src.clamped(x0, y0);
+      const img::Pixel& p10 = src.clamped(x0 + 1, y0);
+      const img::Pixel& p01 = src.clamped(x0, y0 + 1);
+      const img::Pixel& p11 = src.clamped(x0 + 1, y0 + 1);
+      const auto lerp2 = [&](u8 a, u8 b, u8 c, u8 d) {
+        const double top = a + (b - a) * wx;
+        const double bot = c + (d - c) * wx;
+        return static_cast<u8>(std::lround(top + (bot - top) * wy));
+      };
+      img::Pixel& o = out.ref(x, y);
+      o.y = lerp2(p00.y, p10.y, p01.y, p11.y);
+      o.u = lerp2(p00.u, p10.u, p01.u, p11.u);
+      o.v = lerp2(p00.v, p10.v, p01.v, p11.v);
+      o.alfa = p00.alfa;
+      o.aux = p00.aux;
+    }
+  return out;
+}
+
+TEST(Warp, MatchesClampedPerPixelReference) {
+  // 37 rows: not a multiple of the warp's 16-row bands.
+  const img::Image src = img::make_test_frame(Size{53, 37}, 9);
+  const Translation shifts[] = {
+      {0.0, 0.0},     {-3.25, 1.75},  {0.5, -0.5},   {-0.5, 0.5},
+      {2.5, -7.5},    {60.3, 0.0},    {-70.0, -45.25}, {0.0, 41.5},
+      {1e-9, -0.999}, {-12.0, 3.0},   {53.0, -37.0}};
+  for (const Translation t : shifts) {
+    SCOPED_TRACE(to_string(t));
+    EXPECT_EQ(warp_translational(src, t), reference_warp(src, t));
+  }
+}
+
 TEST(Decimate, AveragesQuads) {
   img::Image src(Size{4, 2});
   src.at(0, 0).y = 10;

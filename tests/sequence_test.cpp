@@ -7,6 +7,7 @@
 
 #include "image/compare.hpp"
 #include "image/sequence.hpp"
+#include "image/synth.hpp"
 
 namespace ae::img {
 namespace {
@@ -83,7 +84,43 @@ TEST(Sequence, WorldLumaMatchesRenderedFrame) {
   double wx = 0.0;
   double wy = 0.0;
   pose.to_world(20, 30, 96, 64, wx, wy);
-  EXPECT_NEAR(f0.at(20, 30).y, seq.world_luma(wx, wy), 1.0);
+  EXPECT_EQ(f0.at(20, 30).y, std::lround(seq.world_luma(wx, wy)));
+}
+
+TEST(Sequence, FrameMatchesPerPixelDefinition) {
+  // Every channel of every pixel is lround of the world fields sampled at
+  // to_world(x, y), on scripts that rotate and zoom (the frame hoists the
+  // pose's cos/sin, the per-pixel definition does not).  61 rows: not a
+  // multiple of the frame's row bands.
+  SyntheticSequence::Params p = tiny_params();
+  p.frame_size = Size{43, 61};
+  for (const MotionScript script :
+       {MotionScript{1.5, -0.5, 0.013, 1.004, 0.3},
+        MotionScript{-0.7, 2.0, -0.21, 0.97, 0.0}}) {
+    p.script = script;
+    const SyntheticSequence seq(p);
+    for (const int t : {0, 3, 7}) {
+      const Image f = seq.frame(t);
+      const CameraPose pose = seq.pose(t);
+      for (i32 y = 0; y < f.height(); ++y)
+        for (i32 x = 0; x < f.width(); ++x) {
+          double wx = 0.0;
+          double wy = 0.0;
+          pose.to_world(x, y, 43, 61, wx, wy);
+          const Pixel& px = f.at(x, y);
+          ASSERT_EQ(px.y, std::lround(seq.world_luma(wx, wy)))
+              << "t=" << t << " at " << x << "," << y;
+          ASSERT_EQ(px.u, std::lround(96.0 + 64.0 * value_noise(
+                                                        wx, wy, p.seed + 303,
+                                                        2, 96.0)))
+              << "t=" << t << " at " << x << "," << y;
+          ASSERT_EQ(px.v, std::lround(96.0 + 64.0 * value_noise(
+                                                        wx, wy, p.seed + 404,
+                                                        2, 120.0)))
+              << "t=" << t << " at " << x << "," << y;
+        }
+    }
+  }
 }
 
 TEST(Sequence, PaperPresetsAreCifAndDistinct) {

@@ -136,7 +136,7 @@ TEST(Session, NameSaysSession) {
 TEST(Session, CorpusCyclesMatchTheInterpreterTraversal) {
   // Both engine paths compute pixels with the kernel backend; the price
   // must still be exactly the analytic model over the interpreter's
-  // traversal counts — streamed, segment, and the unlowered Gme* calls.
+  // traversal counts — streamed, segment, and the Gme* calls.
   // Residency and readback elision are off so a session call costs what a
   // plain analytic call costs.
   SessionOptions options;

@@ -88,5 +88,38 @@ TEST(Table3, FpgaTimeIsTransferDominated) {
   EXPECT_LT(per_frame, 0.8);
 }
 
+// FNV-1a over every channel value of every pixel (never the padding bytes),
+// with the dimensions folded in.
+u64 channel_hash(const img::Image& image) {
+  u64 h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](u64 v) { h = (h ^ v) * 0x100000001b3ull; };
+  mix(static_cast<u64>(image.width()));
+  mix(static_cast<u64>(image.height()));
+  for (const img::Pixel& p : image.pixels()) {
+    mix(p.y);
+    mix(p.u);
+    mix(p.v);
+    mix(p.alfa);
+    mix(p.aux);
+  }
+  return h;
+}
+
+TEST(Table3, ShortMovieRunMatchesParent) {
+  // Host-side speedups (banded synthesis and warp, lowered GmeAccum) must
+  // not move a modeled figure or an output pixel.  The values were recorded
+  // before those changes; the comparisons are exact, including the doubles.
+  const SequenceExperiment e = run_short(img::PaperSequence::Movie, 6);
+  EXPECT_EQ(e.pm_seconds, 0x1.2bdfe5e61ac8bp+3);
+  EXPECT_EQ(e.fpga_seconds, 0x1.cf6d21dc406c6p+0);
+  EXPECT_EQ(e.intra_calls, 138);
+  EXPECT_EQ(e.inter_calls, 96);
+  EXPECT_EQ(e.gme_iterations, 96);
+  EXPECT_EQ(e.mean_motion_error_px, 0x1.978be061f3e66p-6);
+  EXPECT_EQ(e.mosaic_coverage, 0x1.cd9a8754b3cc6p-1);
+  EXPECT_EQ(e.mosaic.size(), (Size{376, 305}));
+  EXPECT_EQ(channel_hash(e.mosaic), 0x53a31cb91d4aeafeull);
+}
+
 }  // namespace
 }  // namespace ae::gme

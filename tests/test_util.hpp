@@ -165,6 +165,14 @@ inline std::vector<alib::Call> representative_inter_calls() {
   calls.push_back(Call::make_inter(PixelOp::BitAnd));
   calls.push_back(Call::make_inter(PixelOp::BitOr));
   calls.push_back(Call::make_inter(PixelOp::BitXor));
+  // GmeAccum's robust cutoff: only exact matches vote (0), a tight cutoff
+  // (16), every residual votes (255).
+  for (const i32 threshold : {0, 16, 255}) {
+    OpParams p;
+    p.threshold = threshold;
+    calls.push_back(Call::make_inter(PixelOp::GmeAccum, ChannelMask::y(),
+                                     ChannelMask::y(), p));
+  }
   return calls;
 }
 
