@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 #include <numeric>
 #include <sstream>
 
@@ -79,29 +78,20 @@ Span live_span(const LiveInterval& li) {
 
 // --- slot-exact replay -----------------------------------------------------
 //
-// The LRU mirror below replicates aeplan's ResidencyMachine (planner.cpp)
-// decision-for-decision: same no-claim rule for invalid references, same
-// slot-claim semantics, same transient-first-then-LRU victim.  Any change
-// there must land here too — tests/alloc_test.cpp pins the equality of the
-// mirror's Transferred words with plan_program's on the 520-program corpus.
+// Both policies replay core::ResidencyModel, the model EngineSession charges
+// by: the LRU replay is the session's own victim rule (and so aeplan's
+// schedule, by construction), Belady swaps in the farthest-next-use ranking.
 
-enum class Policy { LruMirror, Belady };
-
-struct ReplaySlot {
-  i32 frame = kNoFrame;
-  i32 last_use = -1;
-  bool transient = false;  ///< relocated out of the result banks
-};
+enum class Policy { Lru, Belady };
 
 struct Replay {
   std::vector<CallAssignment> assignments;
+  u64 cold_words = 0;
   u64 transferred_words = 0;
   i64 transferred = 0;
   i64 reused = 0;
   i64 relocated = 0;
 };
-
-constexpr i64 kNoNextUse = -1;
 
 /// Per-frame sorted positions (in a candidate schedule) where the frame is
 /// read, for Belady's farthest-next-use victim rule.
@@ -120,150 +110,71 @@ class UseTable {
     }
   }
 
-  /// First read of `frame` strictly after position `pos`, or kNoNextUse.
-  i64 next_use(i32 frame, i32 pos) const {
-    if (frame < 0 || frame >= static_cast<i32>(uses_.size())) return kNoNextUse;
+  /// First read of `frame` strictly after position `pos`, or
+  /// core::kNeverUsedAgain.
+  u64 next_use(i32 frame, i32 pos) const {
+    if (frame < 0 || frame >= static_cast<i32>(uses_.size()))
+      return core::kNeverUsedAgain;
     const std::vector<i32>& u = uses_[static_cast<std::size_t>(frame)];
     const auto it = std::upper_bound(u.begin(), u.end(), pos);
-    return it == u.end() ? kNoNextUse : *it;
+    return it == u.end() ? core::kNeverUsedAgain : static_cast<u64>(*it);
   }
 
  private:
   std::vector<std::vector<i32>> uses_;
 };
 
-class ReplayMachine {
- public:
-  ReplayMachine(Policy policy, const UseTable& uses,
-                const std::vector<LiveInterval>& intervals)
-      : policy_(policy), uses_(uses), intervals_(intervals) {}
-
-  /// Classifies one input at schedule position `pos`; returns kind + slot.
-  InputAssignment place_input(i32 frame, i32 pos, u64 words) {
-    InputAssignment ia;
-    ia.frame = frame;
-    ia.words = words;
-    // Invalid references never match a slot — and must not claim one
-    // (mirrors ResidencyMachine exactly).
-    if (frame < 0) return ia;
-    const bool usable = policy_ == Policy::LruMirror || bank_usable(frame);
-    if (usable) {
-      for (std::size_t s = 0; s < slots_.size(); ++s) {
-        if (claimed_[s] || slots_[s].frame != frame) continue;
-        claimed_[s] = true;
-        slots_[s].last_use = pos;
-        slots_[s].transient = false;
-        ia.kind = TransferKind::Reused;
-        ia.slot = static_cast<i32>(s);
-        return ia;
-      }
-    }
-    const bool from_result =
-        usable && result_frame_ == frame && frame != kNoFrame;
-    const std::size_t victim = pick_victim(pos);
-    claimed_[victim] = true;
-    slots_[victim] = ReplaySlot{frame, pos, from_result};
-    ia.kind = from_result ? TransferKind::Relocated : TransferKind::Transferred;
-    ia.slot = static_cast<i32>(victim);
-    return ia;
+/// Input-slot frames still read after position `pos` — the pin set.
+std::vector<i32> keep_after(const core::ResidencyModel& model,
+                            const UseTable& uses, i32 pos) {
+  std::vector<i32> out;
+  for (const core::ResidencySlot& slot : model.slots()) {
+    if (slot.key == core::ResidencyModel::kNoKey) continue;
+    const i32 frame = residency_frame(slot.key);
+    if (uses.next_use(frame, pos) != core::kNeverUsedAgain)
+      out.push_back(frame);
   }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
 
-  void finish_call(i32 output_frame) {
-    result_frame_ = output_frame;
-    claimed_.fill(false);
-  }
-
-  /// Input-slot frames still read after position `pos` — the pin set.
-  std::vector<i32> keep_after(i32 pos) const {
-    std::vector<i32> out;
-    for (const ReplaySlot& slot : slots_)
-      if (slot.frame != kNoFrame && uses_.next_use(slot.frame, pos) != kNoNextUse)
-        out.push_back(slot.frame);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-    return out;
-  }
-
- private:
-  bool bank_usable(i32 frame) const {
-    return frame >= 0 && frame < static_cast<i32>(intervals_.size()) &&
-           intervals_[static_cast<std::size_t>(frame)].bank_ok;
-  }
-
-  std::size_t pick_victim(i32 pos) const {
-    if (policy_ == Policy::LruMirror) return pick_victim_lru();
-    return pick_victim_belady(pos);
-  }
-
-  /// Byte-for-byte the ResidencyMachine rule: transient relocations first,
-  /// then least-recently-used, among unclaimed slots.
-  std::size_t pick_victim_lru() const {
-    std::size_t best = claimed_[0] ? 1 : 0;
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (claimed_[s]) continue;
-      if (claimed_[best]) {
-        best = s;
-        continue;
-      }
-      if (slots_[s].transient != slots_[best].transient) {
-        if (slots_[s].transient) best = s;
-        continue;
-      }
-      if (slots_[s].last_use < slots_[best].last_use) best = s;
-    }
-    return best;
-  }
-
-  /// Farthest-next-use (Belady's offline rule): empty slots first, then
-  /// occupants never read again (or whose geometry cannot be reused), then
-  /// the occupant whose next read is farthest away; ties break to the lower
-  /// slot index so replays are deterministic.
-  std::size_t pick_victim_belady(i32 pos) const {
-    std::size_t best = claimed_[0] ? 1 : 0;
-    i64 best_rank = -1;
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (claimed_[s]) continue;
-      i64 rank;
-      if (slots_[s].frame == kNoFrame) {
-        rank = std::numeric_limits<i64>::max();
-      } else if (!bank_usable(slots_[s].frame)) {
-        rank = std::numeric_limits<i64>::max() - 1;
-      } else {
-        const i64 nu = uses_.next_use(slots_[s].frame, pos);
-        rank = nu == kNoNextUse ? std::numeric_limits<i64>::max() - 1 : nu;
-      }
-      if (claimed_[best] || rank > best_rank) {
-        best = s;
-        best_rank = rank;
-      }
-    }
-    return best;
-  }
-
-  Policy policy_;
-  const UseTable& uses_;
-  const std::vector<LiveInterval>& intervals_;
-  std::array<ReplaySlot, 2> slots_{};
-  std::array<bool, 2> claimed_{};
-  i32 result_frame_ = kNoFrame;
-};
-
+/// Replays `schedule` through the residency model.  With `record` off only
+/// the totals are kept: the schedule search prices thousands of candidate
+/// orders and needs nothing else, so its replays allocate nothing per call.
 Replay replay_schedule(const CallProgram& program,
                        const std::vector<i32>& schedule, Policy policy,
-                       const std::vector<LiveInterval>& intervals) {
+                       const std::vector<LiveInterval>& intervals,
+                       bool record = true) {
   const UseTable uses(program, schedule);
-  ReplayMachine machine(policy, uses, intervals);
+  i32 pos = 0;  // schedule position of the call being placed
+  const core::FarthestNextUse belady{
+      [&](u64 key) { return uses.next_use(residency_frame(key), pos); },
+      [&](u64 key) {
+        const i32 frame = residency_frame(key);
+        return frame >= 0 && frame < static_cast<i32>(intervals.size()) &&
+               intervals[static_cast<std::size_t>(frame)].bank_ok;
+      }};
+  core::ResidencyModel model;
   Replay replay;
   for (std::size_t p = 0; p < schedule.size(); ++p) {
     const i32 index = schedule[p];
+    pos = static_cast<i32>(p);
     const ProgramCall& pc = program.calls()[static_cast<std::size_t>(index)];
     CallAssignment ca;
     ca.call_index = index;
     const std::array<i32, 2> inputs{pc.input_a, pc.input_b};
     for (std::size_t k = 0; k < call_arity(pc); ++k) {
-      const i32 f = inputs[k];
-      InputAssignment ia = machine.place_input(
-          f, static_cast<i32>(p), frame_words(program, f));
+      InputAssignment ia;
+      ia.frame = inputs[k];
+      ia.words = frame_words(program, ia.frame);
+      const u64 key = residency_key(ia.frame);
+      const core::ResidencyModel::Placed placed =
+          policy == Policy::Lru ? model.place_input(key)
+                                : model.place_input(key, belady);
+      ia.kind = placed.kind;
+      ia.slot = placed.slot;
+      replay.cold_words += ia.words;
       switch (ia.kind) {
         case TransferKind::Transferred:
           ++replay.transferred;
@@ -276,11 +187,13 @@ Replay replay_schedule(const CallProgram& program,
           ++replay.relocated;
           break;
       }
-      ca.inputs.push_back(ia);
+      if (record) ca.inputs.push_back(ia);
     }
-    ca.keep = machine.keep_after(static_cast<i32>(p));
-    machine.finish_call(pc.output);
-    replay.assignments.push_back(std::move(ca));
+    if (record) {
+      ca.keep = keep_after(model, uses, pos);
+      replay.assignments.push_back(std::move(ca));
+    }
+    model.finish_call(residency_key(pc.output));
   }
   return replay;
 }
@@ -333,7 +246,8 @@ std::vector<i32> greedy_schedule(const CallProgram& program,
   std::iota(order.begin(), order.end(), 0);
   if (n < 2) return order;  // nothing to hoist
   u64 current_words =
-      replay_schedule(program, order, Policy::Belady, intervals)
+      replay_schedule(program, order, Policy::Belady, intervals,
+                      /*record=*/false)
           .transferred_words;
   for (int move = 0; move < max_moves; ++move) {
     std::vector<i32> position_of(n);
@@ -346,7 +260,8 @@ std::vector<i32> greedy_schedule(const CallProgram& program,
         if (!hoist_legal(program, order, position_of, j, dest)) continue;
         std::vector<i32> cand = apply_hoist(order, j, dest);
         const u64 w =
-            replay_schedule(program, cand, Policy::Belady, intervals)
+            replay_schedule(program, cand, Policy::Belady, intervals,
+                            /*record=*/false)
                 .transferred_words;
         if (w < best_words) {
           best_words = w;
@@ -392,21 +307,13 @@ ResidencyPlan allocate_residency(const CallProgram& program,
     plan.max_live = std::max(plan.max_live, live);
   }
 
-  // Baseline: aeplan's LRU residency on the original order.  The LRU mirror
-  // reproduces it decision-for-decision, so the mirror's assignments are
-  // the guaranteed-sound fallback placement.
-  const ProgramPlan base = plan_program(program, options.plan);
-  for (const CallPlan& cp : base.calls)
-    for (const InputPlan& ip : cp.inputs) {
-      plan.cold_words += ip.words;
-      if (ip.kind == TransferKind::Transferred)
-        plan.baseline_transferred_words += ip.words;
-    }
-
+  // Baseline: the driver's LRU residency on the original order — aeplan's
+  // schedule and the guaranteed-sound fallback placement.
   std::vector<i32> identity(program.calls().size());
   std::iota(identity.begin(), identity.end(), 0);
-  Replay lru =
-      replay_schedule(program, identity, Policy::LruMirror, plan.intervals);
+  Replay lru = replay_schedule(program, identity, Policy::Lru, plan.intervals);
+  plan.cold_words = lru.cold_words;
+  plan.baseline_transferred_words = lru.transferred_words;
 
   Replay best =
       replay_schedule(program, identity, Policy::Belady, plan.intervals);
@@ -424,8 +331,8 @@ ResidencyPlan allocate_residency(const CallProgram& program,
     }
   }
 
-  // Never-regress gate: the Belady result must strictly beat the LRU mirror
-  // or the mirror itself is emitted — what the driver would do anyway, so
+  // Never-regress gate: the Belady result must strictly beat the LRU replay
+  // or the LRU replay itself is emitted — what the driver would do anyway, so
   // the plan can only match or improve the aeplan baseline.
   if (best.transferred_words >= lru.transferred_words) {
     best = std::move(lru);

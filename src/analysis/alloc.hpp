@@ -1,11 +1,11 @@
 // aealloc — whole-program static residency allocation over CallPrograms.
 //
 // The fifth pass of the analysis family.  aeverify proves a program legal,
-// aeplan prices it under the driver's *incidental* residency (the LRU
-// machine EngineSession happens to implement), aeopt rewrites it, aedom
-// bounds its values — aealloc decides, ahead of submission, which frames
-// should occupy the engine's bank resources at each call.  The same move
-// register allocation makes over CPU registers, transposed onto the
+// aeplan prices it under the driver's *incidental* residency (the LRU rule
+// of core::ResidencyModel, which EngineSession charges by), aeopt rewrites
+// it, aedom bounds its values — aealloc decides, ahead of submission, which
+// frames should occupy the engine's bank resources at each call.  The same
+// move register allocation makes over CPU registers, transposed onto the
 // coprocessor's ZBT geometry: two input bank pairs plus the result pair,
 // with frame liveness intervals in place of virtual-register live ranges.
 //
@@ -19,17 +19,17 @@
 //      with the maximum number of simultaneously live frames bound how much
 //      residency any schedule can recover.
 //
-//   2. ASSIGNMENT — a slot-exact replay of the call sequence under two
-//      eviction policies.  The LRU MIRROR reproduces aeplan's residency
-//      machine decision-for-decision (same claim rules, same transient-
-//      first-then-LRU victim), so its Transferred word count provably
-//      equals `plan_program`'s — that is the baseline.  The BELADY policy
-//      replaces the victim rule with farthest-next-use (the offline-optimal
-//      eviction rule), which never does worse than LRU on the same order in
-//      practice; because that is a heuristic claim, not a theorem, the
-//      allocator re-prices both and falls back to the LRU mirror whenever
-//      Belady fails to strictly improve — the emitted plan NEVER regresses
-//      the aeplan baseline, by construction rather than by hope.
+//   2. ASSIGNMENT — a slot-exact replay of the call sequence through
+//      core::ResidencyModel (core/residency.hpp), the one residency model
+//      EngineSession charges by and aeplan predicts with, under two victim
+//      rankings.  The driver's LRU rule gives the baseline — aeplan's
+//      schedule by construction, not by a mirror kept equal.  BELADY ranks
+//      victims by farthest next use (the offline-optimal eviction rule),
+//      which never does worse than LRU on the same order in practice;
+//      because that is a heuristic claim, not a theorem, the allocator
+//      prices both and falls back to the LRU replay whenever Belady fails
+//      to strictly improve — the emitted plan NEVER regresses the aeplan
+//      baseline, by construction rather than by hope.
 //
 //   3. SCHEDULE (optional) — a greedy steepest-descent search over
 //      dependence-preserving single-call hoists, objective = Belady

@@ -12,22 +12,6 @@
 namespace ae::analysis {
 namespace {
 
-bool is_program_output(const CallProgram& program, i32 frame) {
-  const std::vector<i32>& outs = program.outputs();
-  return std::find(outs.begin(), outs.end(), frame) != outs.end();
-}
-
-/// Call indices (after `producer`) that read `frame`.
-std::vector<i32> consumers_of(const CallProgram& program, i32 frame) {
-  std::vector<i32> out;
-  for (std::size_t i = 0; i < program.calls().size(); ++i) {
-    const ProgramCall& pc = program.calls()[i];
-    if (pc.input_a == frame || pc.input_b == frame)
-      out.push_back(static_cast<i32>(i));
-  }
-  return out;
-}
-
 bool is_pointwise(const alib::Call& call) {
   return call.mode == alib::Mode::Intra && call.nbhd.size() == 1 &&
          call.nbhd.contains(Point{0, 0});
@@ -46,8 +30,8 @@ void lint_redundant_reupload(const CallProgram& program,
          << "-word PCI upload is avoidable";
       report.add(Severity::Warning, rules::kRedundantReupload, cp.call_index,
                  os.str(),
-                 "run the program through a residency-aware session "
-                 "(reuse_resident_frames)");
+                 "run the program through core::EngineSession (or a farm "
+                 "shard), which keeps resident frames on board");
     }
   }
 }

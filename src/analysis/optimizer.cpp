@@ -18,21 +18,6 @@ using alib::Call;
 using alib::Mode;
 using alib::PixelOp;
 
-bool is_program_output(const CallProgram& program, i32 frame) {
-  const std::vector<i32>& outs = program.outputs();
-  return std::find(outs.begin(), outs.end(), frame) != outs.end();
-}
-
-std::vector<i32> consumers_of(const CallProgram& program, i32 frame) {
-  std::vector<i32> out;
-  for (std::size_t i = 0; i < program.calls().size(); ++i) {
-    const ProgramCall& pc = program.calls()[i];
-    if (pc.input_a == frame || pc.input_b == frame)
-      out.push_back(static_cast<i32>(i));
-  }
-  return out;
-}
-
 /// Ops whose results escape through the side port: dropping such a call
 /// changes the merged SideAccum even when its output frame is dead.
 bool has_side_port_results(const Call& call) {

@@ -50,77 +50,19 @@ std::string envelope_json(const CostEnvelope& e) {
   return os.str();
 }
 
-/// The residency machine mirrors EngineSession's driver model: two input
-/// bank pairs plus the result pair, keyed here by frame id (the static
-/// stand-in for the session's content hash).
-struct ResidencySlot {
-  i32 frame = kNoFrame;
-  i32 last_use = -1;
-  bool transient = false;  ///< relocated out of the result banks
-};
-
-class ResidencyMachine {
- public:
-  /// Classifies one input of call `index`; claims the slot it lands in so
-  /// an inter call's second input cannot share it (the AEV210 invariant).
-  TransferKind place_input(i32 frame, i32 index) {
-    // Invalid references (kNoFrame / out-of-range ids the verifier flags)
-    // never match a slot — and must not claim one.
-    if (frame < 0) return TransferKind::Transferred;
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (claimed_[s] || slots_[s].frame != frame) continue;
-      claimed_[s] = true;
-      slots_[s].last_use = index;
-      slots_[s].transient = false;
-      return TransferKind::Reused;
-    }
-    const bool from_result = result_frame_ == frame && frame != kNoFrame;
-    const std::size_t victim = pick_victim();
-    claimed_[victim] = true;
-    slots_[victim] = ResidencySlot{frame, index, from_result};
-    return from_result ? TransferKind::Relocated : TransferKind::Transferred;
-  }
-
-  void finish_call(i32 output_frame) {
-    result_frame_ = output_frame;
-    claimed_.fill(false);
-  }
-
-  std::vector<i32> resident() const {
-    std::vector<i32> out;
-    for (const ResidencySlot& slot : slots_)
-      if (slot.frame != kNoFrame) out.push_back(slot.frame);
-    if (result_frame_ != kNoFrame &&
-        std::find(out.begin(), out.end(), result_frame_) == out.end())
-      out.push_back(result_frame_);
-    std::sort(out.begin(), out.end());
-    return out;
-  }
-
- private:
-  std::size_t pick_victim() const {
-    // Transient relocations first, then least-recently-used, among the
-    // slots this call has not already claimed.
-    std::size_t best = claimed_[0] ? 1 : 0;
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (claimed_[s]) continue;
-      if (claimed_[best]) {
-        best = s;
-        continue;
-      }
-      if (slots_[s].transient != slots_[best].transient) {
-        if (slots_[s].transient) best = s;
-        continue;
-      }
-      if (slots_[s].last_use < slots_[best].last_use) best = s;
-    }
-    return best;
-  }
-
-  std::array<ResidencySlot, 2> slots_{};
-  std::array<bool, 2> claimed_{};
-  i32 result_frame_ = kNoFrame;
-};
+/// Frame ids resident on board (input bank pairs + result banks).
+std::vector<i32> resident_frames(const core::ResidencyModel& residency) {
+  std::vector<i32> out;
+  for (const core::ResidencySlot& slot : residency.slots())
+    if (slot.key != core::ResidencyModel::kNoKey)
+      out.push_back(residency_frame(slot.key));
+  const u64 result = residency.result();
+  if (result != core::ResidencyModel::kNoKey &&
+      std::find(out.begin(), out.end(), residency_frame(result)) == out.end())
+    out.push_back(residency_frame(result));
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 }  // namespace
 
@@ -256,7 +198,7 @@ ProgramPlan plan_program(
     const CallProgram& program, const PlanOptions& options,
     const std::vector<std::optional<SegmentVisitInterval>>& visit_hints) {
   ProgramPlan plan;
-  ResidencyMachine residency;
+  core::ResidencyModel residency;
 
   for (std::size_t i = 0; i < program.calls().size(); ++i) {
     const ProgramCall& pc = program.calls()[i];
@@ -278,7 +220,7 @@ ProgramPlan plan_program(
       const i32 f = inputs[k];
       InputPlan ip;
       ip.frame = f;
-      ip.kind = residency.place_input(f, cp.call_index);
+      ip.kind = residency.place_input(residency_key(f)).kind;
       const Size in_frame =
           program.valid_frame(f)
               ? program.frames()[static_cast<std::size_t>(f)].size
@@ -292,8 +234,8 @@ ProgramPlan plan_program(
       }
       cp.inputs.push_back(ip);
     }
-    residency.finish_call(pc.output);
-    cp.resident_after = residency.resident();
+    residency.finish_call(residency_key(pc.output));
+    cp.resident_after = resident_frames(residency);
     plan.avoidable_words += cp.avoidable_words;
 
     plan.total.cycles.lower += cp.envelope.cycles.lower;

@@ -17,13 +17,15 @@
 //     tests/plan_calibration_test.cpp over the 520 known-good fuzz
 //     programs.
 //
-//   * a BANK-RESIDENCY SCHEDULE — interval analysis over the 6-bank ZBT
-//     across the call sequence, mirroring EngineSession's driver model (two
-//     input bank pairs + the result pair, transient-first then LRU
-//     eviction) but keyed by frame id instead of content hash.  Each call
-//     input is classified Transferred / Reused / Relocated, which prices
-//     the avoidable inter-call PCI traffic and feeds the AEW3xx lints
-//     (lints.hpp) and the farm's cost-aware routing (serve/farm.*).
+//   * a BANK-RESIDENCY SCHEDULE — a replay of core::ResidencyModel
+//     (core/residency.hpp), the one residency policy EngineSession charges
+//     by (two input bank pairs + the result pair, transient-first then LRU
+//     eviction), keyed by frame id instead of content hash.  For programs
+//     whose frames have distinct content the schedule is therefore the
+//     session's, call for call.  Each call input is classified
+//     Transferred / Reused / Relocated, which prices the avoidable
+//     inter-call PCI traffic and feeds the AEW3xx lints (lints.hpp) and the
+//     farm's cost-aware routing (serve/farm.*).
 //
 // The planner prices; it never diagnoses — findings derived from a plan
 // live in lints.hpp so the warning catalog stays in one place.
@@ -36,6 +38,7 @@
 #include "addresslib/segment.hpp"
 #include "analysis/program.hpp"
 #include "core/config.hpp"
+#include "core/residency.hpp"
 
 namespace ae::analysis {
 
@@ -74,14 +77,21 @@ struct CostEnvelope {
   u64 input_cycles_estimate = 0;
 };
 
-/// How the residency schedule sources one call input.
-enum class TransferKind : u8 {
-  Transferred,  ///< full PCI upload (not on board)
-  Reused,       ///< already resident in an input bank pair — no PCI traffic
-  Relocated,    ///< resident in the result banks; on-board copy, no PCI
-};
+/// How the residency schedule sources one call input (Transferred /
+/// Reused / Relocated — the residency model's placement).
+using TransferKind = core::Placement;
 
 std::string to_string(TransferKind k);
+
+/// The residency model's key for frame id `frame`: ids shift up by one so
+/// key 0 stays "empty"; invalid (negative) references map to kNoKey, which
+/// matches no slot and claims none.
+constexpr u64 residency_key(i32 frame) {
+  return frame >= 0 ? static_cast<u64>(frame) + 1
+                    : core::ResidencyModel::kNoKey;
+}
+/// Inverse of residency_key for a non-empty key.
+constexpr i32 residency_frame(u64 key) { return static_cast<i32>(key - 1); }
 
 struct InputPlan {
   i32 frame = kNoFrame;

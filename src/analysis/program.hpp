@@ -76,4 +76,10 @@ class CallProgram {
   std::vector<i32> outputs_;
 };
 
+/// True when the host collects `frame` (a declared program output).
+bool is_program_output(const CallProgram& program, i32 frame);
+
+/// Indices of the calls that read `frame` (as input a or b), ascending.
+std::vector<i32> consumers_of(const CallProgram& program, i32 frame);
+
 }  // namespace ae::analysis

@@ -126,9 +126,9 @@ class ResilientSession : public alib::Backend {
   void replace_board(const FaultPlan& plan);
 
   /// Residency of the wrapped session (forwarded; see EngineSession).
-  ResidencySnapshot residency() const { return session_.residency(); }
-  void restore_residency(const ResidencySnapshot& snapshot) {
-    session_.restore_residency(snapshot);
+  const ResidencyModel& residency() const { return session_.residency(); }
+  void restore_residency(const ResidencyModel& residency) {
+    session_.restore_residency(residency);
   }
   /// Advisory frame pins of the wrapped session (forwarded).
   void pin_frames(const std::vector<u64>& hashes) {

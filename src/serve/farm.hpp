@@ -456,7 +456,7 @@ class EngineFarm : public alib::Backend {
   /// a frame that never streams clean is pruned from `residency` and stays
   /// cold.  Returns PCI words streamed (including retries).
   u64 install_frames(Shard& shard, const std::vector<ResidentFrame>& frames,
-                     core::ResidencySnapshot& residency) AE_REQUIRES(shard.mu);
+                     core::ResidencyModel& residency) AE_REQUIRES(shard.mu);
   /// Installs a parsed snapshot into a quiesced shard: frames, residency,
   /// optionally the breaker machine; charges the bulk-DMA burst to the
   /// shard clock (which never rewinds below the live clock).

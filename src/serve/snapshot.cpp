@@ -280,14 +280,13 @@ std::vector<u8> serialize_snapshot(const ShardSnapshot& snapshot,
   payload.i32v(snapshot.breaker.consecutive_failed_calls);
   payload.i32v(snapshot.breaker.cooldown_used);
 
-  for (const core::ResidencySnapshot::Slot& slot :
-       snapshot.residency.input_slots) {
-    payload.u64v(slot.hash);
+  for (const core::ResidencySlot& slot : snapshot.residency.slots()) {
+    payload.u64v(slot.key);
     payload.u64v(slot.last_use);
     payload.u8v(slot.transient ? 1 : 0);
   }
-  payload.u64v(snapshot.residency.result_hash);
-  payload.u64v(snapshot.residency.use_clock);
+  payload.u64v(snapshot.residency.result());
+  payload.u64v(snapshot.residency.use_clock());
 
   payload.u32v(static_cast<u32>(snapshot.frames.size()));
   for (const ResidentFrame& frame : snapshot.frames) {
@@ -352,13 +351,14 @@ ShardSnapshot parse_snapshot(const std::vector<u8>& blob) {
   snapshot.breaker.consecutive_failed_calls = r.i32v();
   snapshot.breaker.cooldown_used = r.i32v();
 
-  for (core::ResidencySnapshot::Slot& slot : snapshot.residency.input_slots) {
-    slot.hash = r.u64v();
+  core::ResidencyModel::Slots slots;
+  for (core::ResidencySlot& slot : slots) {
+    slot.key = r.u64v();
     slot.last_use = r.u64v();
     slot.transient = r.u8v() != 0;
   }
-  snapshot.residency.result_hash = r.u64v();
-  snapshot.residency.use_clock = r.u64v();
+  const u64 result = r.u64v();
+  snapshot.residency = core::ResidencyModel(slots, result, r.u64v());
 
   const u32 frames = r.count(20);
   snapshot.frames.reserve(frames);

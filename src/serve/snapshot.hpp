@@ -78,7 +78,7 @@ struct ShardSnapshot {
   /// clock — time spent serving between snapshot and restore stays counted.
   u64 clock_cycles = 0;
   core::BreakerSnapshot breaker;
-  core::ResidencySnapshot residency;
+  core::ResidencyModel residency;
   /// Content of the frames named by `residency` (input slots + result), at
   /// most one entry per distinct hash.
   std::vector<ResidentFrame> frames;

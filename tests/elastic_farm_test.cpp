@@ -44,10 +44,8 @@ ShardSnapshot sample_snapshot(Rng& rng) {
   s.breaker = {core::BreakerState::HalfOpen, 2, 5};
   const img::Image f0 = img::make_test_frame(Size{24, 18}, 5);
   const img::Image f1 = img::make_test_frame(Size{48, 32}, 6);
-  s.residency.input_slots[0] = {0xAAAA, 7, false};
-  s.residency.input_slots[1] = {0xBBBB, 9, true};
-  s.residency.result_hash = 0xCCCC;
-  s.residency.use_clock = 11;
+  s.residency = core::ResidencyModel(
+      {{{0xAAAA, 7, false}, {0xBBBB, 9, true}}}, 0xCCCC, 11);
   s.frames.push_back({0xAAAA, f0});
   s.frames.push_back({0xBBBB, f1});
   for (int i = 0; i < 6; ++i) {
@@ -72,15 +70,15 @@ TEST(SnapshotFormatTest, RoundTripIsIdentity) {
             original.breaker.consecutive_failed_calls);
   EXPECT_EQ(parsed.breaker.cooldown_used, original.breaker.cooldown_used);
   for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(parsed.residency.input_slots[i].hash,
-              original.residency.input_slots[i].hash);
-    EXPECT_EQ(parsed.residency.input_slots[i].last_use,
-              original.residency.input_slots[i].last_use);
-    EXPECT_EQ(parsed.residency.input_slots[i].transient,
-              original.residency.input_slots[i].transient);
+    EXPECT_EQ(parsed.residency.slots()[i].key,
+              original.residency.slots()[i].key);
+    EXPECT_EQ(parsed.residency.slots()[i].last_use,
+              original.residency.slots()[i].last_use);
+    EXPECT_EQ(parsed.residency.slots()[i].transient,
+              original.residency.slots()[i].transient);
   }
-  EXPECT_EQ(parsed.residency.result_hash, original.residency.result_hash);
-  EXPECT_EQ(parsed.residency.use_clock, original.residency.use_clock);
+  EXPECT_EQ(parsed.residency.result(), original.residency.result());
+  EXPECT_EQ(parsed.residency.use_clock(), original.residency.use_clock());
   ASSERT_EQ(parsed.frames.size(), original.frames.size());
   for (std::size_t i = 0; i < parsed.frames.size(); ++i) {
     EXPECT_EQ(parsed.frames[i].hash, original.frames[i].hash);
@@ -100,6 +98,54 @@ TEST(SnapshotFormatTest, DegenerateEmptySnapshotRoundTrips) {
   EXPECT_EQ(parsed.frames.size(), 0u);
   EXPECT_EQ(parsed.queued.size(), 0u);
   EXPECT_EQ(parsed.clock_cycles, 0u);
+  EXPECT_EQ(serve::serialize_snapshot(parsed), blob);
+}
+
+// Version-2 wire bytes, pinned: both input slots set (one transient), a
+// non-zero use clock and one 2x2 frame.  The residency tables are
+// serialized field by field (key, last_use, transient per slot, then the
+// result key and the use clock), so any change to the model's layout that
+// leaks into the format fails here instead of silently orphaning stored
+// checkpoints.
+TEST(SnapshotFormatTest, V2BlobMatchesGoldenBytes) {
+  constexpr const char* kGolden =
+      "4e534541020000008300000000000000030000008967452301000000020200000001"
+      "000000efcdab89674523010500000000000000001032547698badcfe090000000000"
+      "00000100000000000000000900000000000000010000001032547698badcfe020000"
+      "00020000000a64c800e80300000b65c800d00700000c64c700e80307000d65c700d0"
+      "070700b6c2915a0000000018c1d1b4";
+  ShardSnapshot s;
+  s.shard_index = 3;
+  s.clock_cycles = 0x123456789ull;
+  s.breaker = {core::BreakerState::HalfOpen, 2, 1};
+  s.residency = core::ResidencyModel(
+      {{{0x0123456789ABCDEFull, 5, false}, {0xFEDCBA9876543210ull, 9, true}}},
+      core::ResidencyModel::kNoKey, /*use_clock=*/9);
+  img::Image frame(Size{2, 2});
+  for (i32 y = 0; y < 2; ++y)
+    for (i32 x = 0; x < 2; ++x) {
+      img::Pixel& p = frame.at(x, y);
+      p.y = static_cast<u8>(10 + x + 2 * y);
+      p.u = static_cast<u8>(100 + x);
+      p.v = static_cast<u8>(200 - y);
+      p.alfa = static_cast<u16>(1000 * (x + 1));
+      p.aux = static_cast<u16>(7 * y);
+    }
+  s.frames.push_back({0xFEDCBA9876543210ull, frame});
+
+  const std::vector<u8> blob = serve::serialize_snapshot(s);
+  std::string hex;
+  for (const u8 byte : blob) {
+    constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[byte >> 4];
+    hex += kDigits[byte & 0xF];
+  }
+  EXPECT_EQ(hex, kGolden);
+
+  const ShardSnapshot parsed = serve::parse_snapshot(blob);
+  EXPECT_EQ(parsed.residency.slots()[1].key, 0xFEDCBA9876543210ull);
+  EXPECT_TRUE(parsed.residency.slots()[1].transient);
+  EXPECT_EQ(parsed.residency.use_clock(), 9u);
   EXPECT_EQ(serve::serialize_snapshot(parsed), blob);
 }
 
@@ -352,8 +398,8 @@ TEST(ElasticFarmTest, RestoreTimeTransportFaultsDegradeFramesToCold) {
   // board — the restore itself still succeeds.
   ShardSnapshot snapshot;
   const u64 hash = core::frame_content_hash(x);
-  snapshot.residency.input_slots[0] = {hash, 1, false};
-  snapshot.residency.use_clock = 1;
+  snapshot.residency =
+      core::ResidencyModel({{{hash, 1, false}, {}}}, 0, /*use_clock=*/1);
   snapshot.frames.push_back({hash, x});
   farm.restore_shard(0, serve::serialize_snapshot(snapshot));
 

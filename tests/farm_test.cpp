@@ -148,14 +148,16 @@ TEST(FarmTest, SequentialCallsOnOneFrameStayOnTheKeyedShard) {
 TEST(FarmTest, StripPipeliningSavesModeledCycles) {
   FarmOptions options;
   options.shards = 1;  // force back-to-back execution on one engine
-  options.resilient.session.reuse_resident_frames = false;  // isolate overlap
   EngineFarm farm(options);
-  const img::Image a = test::small_frame();
+  // Distinct frames: every call streams its input, so the overlap is not
+  // hidden behind residency reuse.
+  std::vector<img::Image> frames;
+  for (u64 i = 0; i < 32; ++i) frames.push_back(test::small_frame(i + 1));
   const Call call = Call::make_intra(PixelOp::Median,
                                      alib::Neighborhood::con8());
 
   std::vector<std::future<alib::CallResult>> futures;
-  for (int i = 0; i < 32; ++i) futures.push_back(farm.submit(call, a));
+  for (const img::Image& a : frames) futures.push_back(farm.submit(call, a));
   for (auto& f : futures) f.get();
 
   const FarmStats stats = farm.stats();

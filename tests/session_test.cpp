@@ -82,16 +82,13 @@ TEST(Session, SideOnlyReadbackElided) {
 
 TEST(Session, OptionsDisableOptimizations) {
   SessionOptions off;
-  off.reuse_resident_frames = false;
   off.skip_side_only_readback = false;
   EngineSession session({}, off);
-  const img::Image a = test::small_frame();
-  const alib::Call call = alib::Call::make_intra(
-      alib::PixelOp::MorphGradient, alib::Neighborhood::con8());
-  const u64 first = session.execute(call, a).stats.cycles;
-  const u64 second = session.execute(call, a).stats.cycles;
-  EXPECT_EQ(first, second);
-  EXPECT_EQ(session.stats().inputs_reused, 0);
+  const img::Image a = test::small_frame(1);
+  const img::Image b = test::small_frame(2);
+  session.execute(gme_accum(), a, &b);
+  EXPECT_EQ(session.stats().outputs_elided, 0);
+  EXPECT_EQ(session.stats().outputs_read_back, 1);
 }
 
 TEST(Session, InvalidateForgetsResidency) {
@@ -137,12 +134,10 @@ TEST(Session, CorpusCyclesMatchTheInterpreterTraversal) {
   // Both engine paths compute pixels with the kernel backend; the price
   // must still be exactly the analytic model over the interpreter's
   // traversal counts — streamed, segment, and the Gme* calls.
-  // Residency and readback elision are off so a session call costs what a
-  // plain analytic call costs.
+  // Readback elision is off and every call gets a fresh session (nothing
+  // resident), so a session call costs what a plain analytic call costs.
   SessionOptions options;
-  options.reuse_resident_frames = false;
   options.skip_side_only_readback = false;
-  EngineSession session({}, options);
   EngineBackend analytic({}, EngineMode::Analytic);
   const EngineConfig config;
   Rng rng(0xC0B5u);
@@ -172,6 +167,7 @@ TEST(Session, CorpusCyclesMatchTheInterpreterTraversal) {
                                             seg.processed_pixels,
                                             seg.criterion_tests)
                              .cycles;
+    EngineSession session({}, options);
     const alib::CallResult s = session.execute(call, a, pb);
     const alib::CallResult e = analytic.execute(call, a, pb);
     EXPECT_EQ(s.stats.cycles, expected);
